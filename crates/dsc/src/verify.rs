@@ -13,25 +13,29 @@
 //! generator threads computing [`LANES`]-sized blocks of stimulus +
 //! expected responses, feeding a bounded block queue — while the cycle
 //! player ([`steac_pattern::stream_cycle_patterns`]) consumes the
-//! blocks as they arrive, so generation (the slow phase, ~11–12k
-//! patterns/s) overlaps playback and peak memory is bounded by queue
-//! depth, never set size. [`jpeg_playback_batch`] is the materialized
-//! flavour — generate everything, then play — kept as the differential
-//! baseline; the two produce byte-identical [`PlaybackReport`]s. One
-//! [`Exec`] value picks the backend for the whole experiment: playback
-//! chunks dispatch through [`Exec::dispatch_stream`] (inline, threads,
-//! `steac-worker` processes, or a remote fleet), and generation —
-//! whose expected-response closures cannot cross a process boundary —
-//! shards on the backend's in-process pool. Reports are byte-identical
-//! on every backend.
+//! blocks as they arrive, so generation overlaps playback and peak
+//! memory is bounded by queue depth, never set size. Generation runs on
+//! the same packed kernel as playback — one settle sequence computes
+//! the expected responses of a whole [`LANES`]-pattern block — and
+//! every pattern of a set shares one pin header, so a queued pattern
+//! costs its two cycle rows and nothing more. [`jpeg_playback_batch`]
+//! is the materialized flavour — generate everything, then play — kept
+//! as the differential baseline; the two produce byte-identical
+//! [`PlaybackReport`]s. One [`Exec`] value picks the backend for the
+//! whole experiment: playback chunks dispatch through
+//! [`Exec::dispatch_stream`] (inline, threads, `steac-worker`
+//! processes, or a remote fleet), and generation — whose
+//! expected-response closures cannot cross a process boundary — shards
+//! on the backend's in-process pool. Reports are byte-identical on
+//! every backend.
 
-use crate::cores::{jpeg_core, CoreParams};
+use crate::cores::jpeg_core;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use steac_netlist::Module;
+use steac_netlist::{Module, NetId};
 use steac_pattern::{stream_cycle_patterns, CyclePattern, PatternError, PinState};
-use steac_sim::{Exec, Logic, SimError, SimProgram, Simulator, LANES};
+use steac_sim::{Exec, Logic, PackedLogic, SimError, SimProgram, Simulator, LANES};
 
 /// Outcome of a batched playback experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,13 +72,16 @@ fn stimulus_bit(pattern: usize, pin: usize) -> bool {
 }
 
 /// Everything JPEG pattern generation and playback share: the module,
-/// its compiled program (compiled exactly once), the core parameters
-/// and the pattern pin list (PIs, then the clock, then POs).
+/// its compiled program (compiled exactly once), the PI, PO and clock
+/// nets resolved once, and the pattern pin header (PIs, then the clock,
+/// then POs) that every generated pattern shares.
 struct JpegRig {
     module: Module,
     program: Arc<SimProgram>,
-    params: CoreParams,
-    pins: Vec<String>,
+    pi_nets: Vec<NetId>,
+    po_nets: Vec<NetId>,
+    clock: NetId,
+    pins: Arc<[String]>,
 }
 
 fn jpeg_rig() -> Result<JpegRig, PatternError> {
@@ -83,65 +90,80 @@ fn jpeg_rig() -> Result<JpegRig, PatternError> {
     pins.push(params.clocks[0].clone());
     pins.extend(params.po.iter().cloned());
     let program = Arc::new(SimProgram::compile(&module)?);
+    let net = |name: &String| {
+        program
+            .port_net(name)
+            .ok_or_else(|| PatternError::Sim(SimError::UnknownName { name: name.clone() }))
+    };
+    let pi_nets = params.pi.iter().map(net).collect::<Result<_, _>>()?;
+    let po_nets = params.po.iter().map(net).collect::<Result<_, _>>()?;
+    let clock = net(&params.clocks[0])?;
     Ok(JpegRig {
         module,
         program,
-        params,
-        pins,
+        pi_nets,
+        po_nets,
+        clock,
+        pins: pins.into(),
     })
 }
 
 /// Generates block `bi` (up to [`LANES`] two-cycle patterns: drive PIs +
-/// pulse `ck`, then compare every PO) of the `count`-pattern JPEG set,
-/// with expected responses computed by a scalar reference simulation of
-/// each pattern. Pattern `k` depends only on `k`, so the output is
-/// identical on every backend, at every width and in any block order —
-/// the foundation of both the materialized and the streaming flow.
+/// pulse `ck`, then compare every PO) of the `count`-pattern JPEG set.
+/// The expected responses of the whole block come from one packed
+/// simulation on the kernel playback uses: lane `l` carries pattern
+/// `bi * LANES + l` from the power-on state through one clock cycle, and
+/// the lanes of a partial last block past its end copy lane 0. Pattern
+/// `k` depends only on `k`, so the output is identical on every backend,
+/// at every width and in any block order — the foundation of both the
+/// materialized and the streaming flow. Every pattern holds a clone of
+/// the rig's one pin header.
 fn generate_block(
     rig: &JpegRig,
     bi: usize,
     count: usize,
 ) -> Result<Vec<CyclePattern>, PatternError> {
-    let n_pi = rig.params.pi.len();
+    let first = bi * LANES;
+    let lanes = count.saturating_sub(first).min(LANES);
     let mut sim: Simulator = Simulator::from_program(Arc::clone(&rig.program));
-    let mut block = Vec::with_capacity(LANES);
-    for k in (bi * LANES..count).take(LANES) {
-        let drives: Vec<Logic> = (0..n_pi).map(|i| Logic::from(stimulus_bit(k, i))).collect();
-        // Scalar reference run from the power-on state (the batch
-        // player resets each chunk the same way).
-        sim.reset_to_x();
-        for (name, &v) in rig.params.pi.iter().zip(&drives) {
-            sim.set_by_name(name, v)?;
-        }
-        sim.clock_cycle_by_name(&rig.params.clocks[0])?;
-        let expected: Vec<Logic> = rig
-            .params
-            .po
-            .iter()
-            .map(|name| sim.get_by_name(name))
-            .collect::<Result<_, _>>()?;
+    // Power-on state, as the player resets each chunk.
+    sim.reset_to_x();
+    let mut column = Vec::with_capacity(lanes);
+    for (i, &net) in rig.pi_nets.iter().enumerate() {
+        column.clear();
+        column.extend((first..first + lanes).map(|k| Logic::from(stimulus_bit(k, i))));
+        sim.set_lanes(net, &column);
+    }
+    sim.clock_cycle(rig.clock)?;
+    let expected: Vec<PackedLogic> = rig.po_nets.iter().map(|&n| sim.get_packed(n)).collect();
 
-        let mut p = CyclePattern::new(rig.pins.clone());
-        let mut capture_row: Vec<PinState> =
-            drives.iter().map(|&v| PinState::from_drive(v)).collect();
+    let width = rig.pins.len();
+    let mut block = Vec::with_capacity(lanes);
+    for l in 0..lanes {
+        let mut capture_row = Vec::with_capacity(width);
+        capture_row.extend(
+            (0..rig.pi_nets.len())
+                .map(|i| PinState::from_drive(Logic::from(stimulus_bit(first + l, i)))),
+        );
+        let mut compare_row = Vec::with_capacity(width);
+        compare_row.extend_from_slice(&capture_row);
         capture_row.push(PinState::Pulse);
-        capture_row.extend(std::iter::repeat_n(PinState::DontCare, rig.params.po.len()));
-        p.push_cycle(capture_row)?;
-        let mut compare_row: Vec<PinState> =
-            drives.iter().map(|&v| PinState::from_drive(v)).collect();
+        capture_row.extend(std::iter::repeat_n(PinState::DontCare, expected.len()));
         compare_row.push(PinState::Drive0);
-        compare_row.extend(expected.iter().map(|&v| PinState::from_expect(v)));
+        compare_row.extend(expected.iter().map(|v| PinState::from_expect(v.lane(l))));
+        let mut p = CyclePattern::new(Arc::clone(&rig.pins));
+        p.push_cycle(capture_row)?;
         p.push_cycle(compare_row)?;
         block.push(p);
     }
     Ok(block)
 }
 
-/// Builds `count` two-cycle functional patterns for the JPEG core. The
-/// expected-response simulations are independent per pattern, so
-/// generation fans [`LANES`]-pattern blocks across the backend's
-/// in-process pool ([`Exec::run_fallible`]); the output is identical on
-/// every backend and at every width.
+/// Builds `count` two-cycle functional patterns for the JPEG core. Each
+/// [`LANES`]-pattern block is one independent packed simulation, so
+/// generation fans the blocks across the backend's in-process pool
+/// ([`Exec::run_fallible`]); the output is identical on every backend
+/// and at every width.
 ///
 /// # Errors
 ///
@@ -357,6 +379,73 @@ mod tests {
 
     fn exec() -> Exec {
         Exec::from_env()
+    }
+
+    /// The scalar reference generator packed generation must equal: one
+    /// simulation per pattern from the power-on state, every pin set and
+    /// read by name, lane 0 only.
+    fn scalar_patterns(rig: &JpegRig, count: usize) -> Vec<CyclePattern> {
+        let n_pi = rig.pi_nets.len();
+        let (pi, rest) = rig.pins.split_at(n_pi);
+        let (clock, po) = rest.split_first().unwrap();
+        let mut sim: Simulator = Simulator::from_program(Arc::clone(&rig.program));
+        (0..count)
+            .map(|k| {
+                let drives: Vec<Logic> =
+                    (0..n_pi).map(|i| Logic::from(stimulus_bit(k, i))).collect();
+                sim.reset_to_x();
+                for (name, &v) in pi.iter().zip(&drives) {
+                    sim.set_by_name(name, v).unwrap();
+                }
+                sim.clock_cycle_by_name(clock).unwrap();
+                let mut p = CyclePattern::new(rig.pins.to_vec());
+                let mut capture_row: Vec<PinState> =
+                    drives.iter().map(|&v| PinState::from_drive(v)).collect();
+                capture_row.push(PinState::Pulse);
+                capture_row.extend(std::iter::repeat_n(PinState::DontCare, po.len()));
+                p.push_cycle(capture_row).unwrap();
+                let mut compare_row: Vec<PinState> =
+                    drives.iter().map(|&v| PinState::from_drive(v)).collect();
+                compare_row.push(PinState::Drive0);
+                compare_row.extend(
+                    po.iter()
+                        .map(|name| PinState::from_expect(sim.get_by_name(name).unwrap())),
+                );
+                p.push_cycle(compare_row).unwrap();
+                p
+            })
+            .collect()
+    }
+
+    /// Packed generation equals the scalar reference pattern for
+    /// pattern, including the partial blocks whose spare lanes copy
+    /// lane 0, on the serial and a threaded backend — and every pattern
+    /// of a set shares one pin header allocation.
+    #[test]
+    fn packed_generation_equals_the_scalar_reference() {
+        let rig = jpeg_rig().unwrap();
+        let reference = scalar_patterns(&rig, 130);
+        assert!(
+            reference
+                .iter()
+                .flat_map(|p| &p.cycles[1])
+                .any(|s| *s == PinState::ExpectH),
+            "the reference must expect some ones"
+        );
+        for (name, exec) in [
+            ("serial", Exec::serial()),
+            ("threads:3", Exec::threads(Threads::exact(3))),
+        ] {
+            for count in [1, 63, 64, 65, 130] {
+                let (_, patterns) = jpeg_functional_patterns(&exec, count).unwrap();
+                assert_eq!(patterns, reference[..count], "{name}, {count} patterns");
+                let header = &patterns[0].pins;
+                assert!(
+                    patterns.iter().all(|p| Arc::ptr_eq(&p.pins, header)),
+                    "{name}, {count} patterns: one pin header per set"
+                );
+            }
+        }
     }
 
     /// The batched verdict must equal per-pattern scalar playback — and

@@ -146,18 +146,25 @@ impl fmt::Display for PinState {
 /// tester cycle.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CyclePattern {
-    /// Pin names, fixed for all cycles.
-    pub pins: Vec<String>,
+    /// Pin names, fixed for all cycles. The header is shared: patterns
+    /// of one set hold clones of one `Arc`, so cloning a pattern copies
+    /// only its rows. Equality is by content — two patterns whose pin
+    /// lists are equal name by name are the same shape whether or not
+    /// they share the allocation; sharing only lets the checks skip
+    /// the name-by-name comparison.
+    pub pins: Arc<[String]>,
     /// Cycle rows; each row has `pins.len()` states.
     pub cycles: Vec<Vec<PinState>>,
 }
 
 impl CyclePattern {
-    /// Creates an empty pattern over the given pins.
+    /// Creates an empty pattern over the given pins. Pass a clone of
+    /// one `Arc<[String]>` to give every pattern of a set the same pin
+    /// header; a `Vec<String>` allocates a header of its own.
     #[must_use]
-    pub fn new(pins: Vec<String>) -> Self {
+    pub fn new(pins: impl Into<Arc<[String]>>) -> Self {
         CyclePattern {
-            pins,
+            pins: pins.into(),
             cycles: Vec::new(),
         }
     }
@@ -198,7 +205,7 @@ impl CyclePattern {
     ///
     /// Returns [`PatternError::Shape`] on pin-list mismatch.
     pub fn append(&mut self, other: &CyclePattern) -> Result<(), PatternError> {
-        if self.pins != other.pins {
+        if !same_pins(&self.pins, &other.pins) {
             return Err(PatternError::Shape {
                 context: "pattern concatenation",
                 expected: self.pins.len(),
@@ -208,6 +215,12 @@ impl CyclePattern {
         self.cycles.extend(other.cycles.iter().cloned());
         Ok(())
     }
+}
+
+/// Whether two pin headers name the same pins: the shared-header
+/// pointer check first, then the names one by one.
+fn same_pins(a: &Arc<[String]>, b: &Arc<[String]>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
 }
 
 /// Result of playing a pattern against the simulator.
@@ -670,7 +683,7 @@ where
             });
         }
     }
-    let pins = first.pins.clone();
+    let pins = Arc::clone(&first.pins);
     let cycles = first.cycles.len();
     let nets = resolve_pins(sim, &pins)?;
     // Same force export as the materialized path: the dispatcher
@@ -726,7 +739,7 @@ where
 /// violation poisons the shared cell and ends the stream.
 struct ValidatedChunks<'a, I> {
     patterns: I,
-    pins: &'a [String],
+    pins: &'a Arc<[String]>,
     cycles: usize,
     chunk: usize,
     pending: Option<CyclePattern>,
@@ -736,7 +749,7 @@ struct ValidatedChunks<'a, I> {
 
 impl<I> ValidatedChunks<'_, I> {
     fn check(&self, p: &CyclePattern) -> Result<(), PatternError> {
-        if p.pins != self.pins {
+        if !same_pins(&p.pins, self.pins) {
             return Err(PatternError::Shape {
                 context: "batch pin list",
                 expected: self.pins.len(),
@@ -886,7 +899,7 @@ fn validate_batch<'a>(
         return Ok(None);
     };
     for p in patterns {
-        if p.pins != first.pins {
+        if !same_pins(&p.pins, &first.pins) {
             return Err(PatternError::Shape {
                 context: "batch pin list",
                 expected: first.pins.len(),
@@ -1105,10 +1118,9 @@ fn check_pulse_alignment(chunk: &[&CyclePattern]) -> Result<(), PatternError> {
 /// the lane-group width the job header requested.
 ///
 /// Units decode into one flat pattern-major scratch buffer reused
-/// across units — no [`CyclePattern`] (and no per-pattern pin-list
-/// clone, ~hundreds of `String`s on real designs) is ever materialized
-/// on the worker side; [`play_cycles`] reads states straight out of
-/// the buffer.
+/// across units — no [`CyclePattern`] is ever materialized on the
+/// worker side; [`play_cycles`] reads states straight out of the
+/// buffer against the job's one pin list.
 struct PlaybackJob<const N: usize> {
     sim: Simulator<N>,
     pins: Vec<String>,
@@ -1417,6 +1429,71 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Pin headers compare by content: equal names in separate
+    /// allocations are one shape, and a pin list that differs only in a
+    /// name is the typed "batch pin list" error on both players (and a
+    /// concatenation error on `append`).
+    #[test]
+    fn pin_lists_compare_by_content_not_allocation() {
+        use Logic::{One, Zero};
+        let m = flop_module();
+        let sim: Simulator = Simulator::new(&m).unwrap();
+        let a = flop_pattern(&[One, Zero]);
+        let b = flop_pattern(&[Zero, One]);
+        assert!(!Arc::ptr_eq(&a.pins, &b.pins));
+        let batch = apply_cycle_patterns_batch(&exec(), &sim, &[&a, &b]).unwrap();
+        assert_eq!(batch.reports.len(), 2);
+        assert!(batch.passed(), "{batch:?}");
+        let mut streamed = Vec::new();
+        stream_cycle_patterns(&exec(), &sim, vec![a.clone(), b.clone()].into_iter(), |r| {
+            streamed.push(r);
+        })
+        .unwrap();
+        assert_eq!(streamed, batch.reports);
+        let mut joined = a.clone();
+        joined.append(&b).unwrap();
+        assert_eq!(joined.cycle_count(), 4);
+
+        let mut renamed = b.clone();
+        renamed.pins = vec!["d".to_string(), "ck".to_string(), "qn".to_string()].into();
+        let pin_list_error = |e: &PatternError| {
+            matches!(
+                e,
+                PatternError::Shape {
+                    context: "batch pin list",
+                    expected: 3,
+                    got: 3,
+                }
+            )
+        };
+        let err = apply_cycle_patterns_batch(&exec(), &sim, &[&a, &renamed]).unwrap_err();
+        assert!(pin_list_error(&err), "{err}");
+        let mut sunk = 0usize;
+        let err = stream_cycle_patterns(
+            &exec(),
+            &sim,
+            vec![a.clone(), renamed.clone()].into_iter(),
+            |_| {
+                sunk += 1;
+            },
+        )
+        .unwrap_err();
+        assert!(pin_list_error(&err), "{err}");
+        assert!(sunk <= 1, "only the clean prefix may be delivered");
+        let err = joined.append(&renamed).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PatternError::Shape {
+                    context: "pattern concatenation",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(joined.cycle_count(), 4, "a rejected append adds nothing");
     }
 
     #[test]

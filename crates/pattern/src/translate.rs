@@ -334,11 +334,12 @@ impl fmt::Display for ChipPatternSet {
 
 /// Merges per-core wrapper streams into a chip-level set: renames
 /// `wsi[k]`/`wso[k]` to `tam_in[offset+k]`/`tam_out[offset+k]` and
-/// groups by session.
+/// groups by session. Each stream gets one fresh pin header.
 #[must_use]
 pub fn merge_sessions(mut streams: Vec<SessionStream>) -> ChipPatternSet {
     for st in &mut streams {
-        for pin in &mut st.pattern.pins {
+        let mut pins = st.pattern.pins.to_vec();
+        for pin in &mut pins {
             if let Some(rest) = pin.strip_prefix("wsi[") {
                 if let Some(k) = rest.strip_suffix(']').and_then(|s| s.parse::<usize>().ok()) {
                     *pin = format!("tam_in[{}]", st.tam_offset + k);
@@ -349,6 +350,7 @@ pub fn merge_sessions(mut streams: Vec<SessionStream>) -> ChipPatternSet {
                 }
             }
         }
+        st.pattern.pins = pins.into();
     }
     let mut sessions: Vec<(usize, Vec<SessionStream>)> = Vec::new();
     streams.sort_by_key(|s| s.session);

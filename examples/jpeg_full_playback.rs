@@ -14,12 +14,12 @@
 //! By default the set is never materialized: generator threads produce
 //! 64-pattern blocks into a bounded queue while the cycle player
 //! (`64 * PLAYBACK_LANE_GROUPS` patterns per pass) consumes them
-//! through `Exec::dispatch_stream`, so generation — the slow phase —
-//! overlaps playback and peak memory follows the queue depth, not the
-//! set size. `--materialize` switches to the old generate-everything-
-//! then-play flow; the two print byte-identical reports. The binary
-//! prints the backend, the sustained patterns/sec and the peak RSS, so
-//! the constant-memory claim is checkable from the output alone.
+//! through `Exec::dispatch_stream`, so generation overlaps playback and
+//! peak memory follows the queue depth, not the set size.
+//! `--materialize` switches to the old generate-everything-then-play
+//! flow; the two print byte-identical reports. The binary prints the
+//! backend, the sustained patterns/sec and the peak RSS, so the
+//! constant-memory claim is checkable from the output alone.
 
 use std::time::Instant;
 use steac_dsc::{jpeg_playback_batch, jpeg_playback_stream, TABLE1};
